@@ -21,10 +21,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .contfrac import bound_holds, cf_expand
+from .contfrac import bound_holds, cf_head
 from .keys import InvalidParams, PublicKey
 from .numtheory import (
     dlog_bruteforce,
@@ -162,13 +161,23 @@ def prime_product_P(n: int, rho: int) -> int:
 
 
 def delta_of(M: int, n: int, rho: int) -> tuple[Fraction, str]:
-    """The jump threshold Delta as (exact ratio Delta**2, 4-decimal display)."""
+    """The jump threshold Delta as (exact ratio Delta**2, 4-decimal display).
+
+    The display is decided in integers, so moduli of any size work.
+    """
     ratio = Fraction(M, 2 * prime_product_P(n, rho))
-    with localcontext() as ctx:
-        ctx.prec = 40
-        root = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt()
-        display = str(root.quantize(Decimal("0.0001")))
-    return ratio, display
+    return ratio, _sqrt_display(ratio)
+
+
+def _sqrt_display(ratio: Fraction) -> str:
+    """sqrt(ratio) rounded to four decimals, half-way cases to even."""
+    num, den = ratio.numerator, ratio.denominator
+    scaled = math.isqrt(num * 10**8 // den)  # floor(sqrt(ratio) * 10**4)
+    # sign of sqrt(ratio) * 10**4 - (scaled + 1/2), squared out
+    excess = 4 * num * 10**8 - (2 * scaled + 1) ** 2 * den
+    if excess > 0 or (excess == 0 and scaled % 2):
+        scaled += 1
+    return f"{scaled // 10**4}.{scaled % 10**4:04d}"
 
 
 def max_a(M: int, n: int) -> int:
@@ -183,22 +192,37 @@ def max_a(M: int, n: int) -> int:
     return M // math.prod(nth_prime(x) for x in range(1, n))
 
 
+def _ceiling(pub: PublicKey, filt: AttackFilter) -> int:
+    """The candidate ceiling: the filter's override, else max_a."""
+    if filt.max_a_override is not None:
+        return filt.max_a_override
+    return max_a(pub.M, pub.n)
+
+
 def _scan_z(
     Z: int, M: int, two_p: int, filt: AttackFilter, ceiling: int
 ) -> list[tuple[int, int, int, int, int, int]]:
-    """Filtered convergents of Z/M as (u, p, q, q_next, a_u, a_next)."""
-    cf = cf_expand(Z, M)
+    """Filtered convergents of Z/M as (u, p, q, q_next, a_u, a_next).
+
+    Only the head of the expansion up to the ceiling is computed (see
+    cf_head): denominators never decrease, so once q_u > ceiling no later
+    index can qualify.
+    """
+    quotients, ps, qs = cf_head(Z, M, ceiling)
     out = []
-    for u in range(cf.t):
-        c = cf.convergents[u]
-        if not filt.min_q <= c.q <= ceiling:
+    # the final index is never a candidate, and cf_head ends either there
+    # or at the first q_u above the ceiling
+    for u in range(len(qs) - 1):
+        q = qs[u]
+        if q < filt.min_q:
             continue
-        if not bound_holds(Z, M, c.p, c.q, filt.legendre_k):
+        p = ps[u]
+        if not bound_holds(Z, M, p, q, filt.legendre_k):
             continue
-        q_next = cf.convergents[u + 1].q
-        if filt.use_jump and q_next * q_next * two_p <= c.q * c.q * M:
+        q_next = qs[u + 1]
+        if filt.use_jump and q_next * q_next * two_p <= q * q * M:
             continue
-        out.append((u, c.p, c.q, q_next, cf.quotients[u], cf.quotients[u + 1]))
+        out.append((u, p, q, q_next, quotients[u], quotients[u + 1]))
     return out
 
 
@@ -212,11 +236,7 @@ def scan_triple(
     """
     Z = compute_z(pub, i, j, k)
     two_p = 2 * prime_product_P(pub.n, rho) if filt.use_jump else 0
-    ceiling = (
-        filt.max_a_override
-        if filt.max_a_override is not None
-        else max_a(pub.M, pub.n)
-    )
+    ceiling = _ceiling(pub, filt)
     return [
         CandidateHit(k, i, j, u, q, p, q_next, a_u, a_next)
         for (u, p, q, q_next, a_u, a_next) in _scan_z(
@@ -235,11 +255,7 @@ def run_attack(pub: PublicKey, filt: AttackFilter, rho: int) -> AttackReport:
     """
     n = pub.n
     two_p = 2 * prime_product_P(n, rho)
-    ceiling = (
-        filt.max_a_override
-        if filt.max_a_override is not None
-        else max_a(pub.M, pub.n)
-    )
+    ceiling = _ceiling(pub, filt)
     ratio, display = delta_of(pub.M, n, rho)
     hits = []
     cache: dict[int, list] = {}

@@ -331,7 +331,9 @@ def execute(cmd: Command) -> int:
     """Dispatch a parsed command; returns the process exit code."""
     try:
         return _EXECUTORS[cmd.verb](cmd)
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (
+        UsageError, OSError, json.JSONDecodeError, keys.MalformedKey
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError) as exc:

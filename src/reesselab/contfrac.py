@@ -83,6 +83,41 @@ def cf_expand(num: int, den: int) -> ContinuedFraction:
     return ContinuedFraction(num, den, tuple(quotients), tuple(convergents))
 
 
+def cf_head(
+    num: int, den: int, ceiling: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The leading part of cf_expand(num, den) that a denominator window
+    [.., ceiling] can see, as parallel lists (quotients, p_u, q_u).
+
+    Euclid stops at the first index w with q_w > ceiling, after recording
+    it; without such an index the lists are the full expansion. Entries
+    0..w equal cf_expand's: Euclid's raw output is already canonical (its
+    last step divides a remainder by a smaller one, so a final quotient
+    after the first is >= 2), and q_u never decreases, so no index past w
+    can fall in the window. Every u < w is therefore non-final, and its
+    q_{u+1} and a_{u+1} are in the lists.
+    """
+    if den < 1:
+        raise ZeroDenominator(f"denominator must be positive, got {den}")
+    if num < 0:
+        raise ValueError(f"numerator must be nonnegative, got {num}")
+    quotients, ps, qs = [], [], []
+    # (p_{u-1}, q_{u-1}) and (p_{u-2}, q_{u-2}), seeded for u = 0
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    a, b = num, den
+    while b:
+        x, r = divmod(a, b)
+        a, b = b, r
+        p, p_prev = x * p + p_prev, p
+        q, q_prev = x * q + q_prev, q
+        quotients.append(x)
+        ps.append(p)
+        qs.append(q)
+        if q > ceiling:
+            break
+    return quotients, ps, qs
+
+
 def convergent_at(cf: ContinuedFraction, u: int) -> Convergent:
     """The u-th convergent, 0 <= u <= t."""
     if not 0 <= u <= cf.t:

@@ -45,6 +45,10 @@ class InvalidDelta(ValueError):
     """Family parameter outside its admissible range."""
 
 
+class MalformedKey(ValueError):
+    """A key file whose JSON lacks a field or holds a wrong-typed value."""
+
+
 class InvalidParams(ValueError):
     """Parameters outside an operation's supported range."""
 
@@ -335,12 +339,18 @@ def _omega_to_obj(omega: OmegaSet) -> dict:
     }
 
 
+def _ints(values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return tuple(int(v) for v in values)
+
+
 def _omega_from_obj(obj: dict) -> OmegaSet:
     return OmegaSet(
         OmegaFamily(obj["family"]),
         int(obj["n"]),
         None if obj["delta"] is None else int(obj["delta"]),
-        tuple(int(e) for e in obj["elements"]),
+        _ints(obj["elements"]),
     )
 
 
@@ -359,8 +369,27 @@ def private_to_json(priv: PrivateKey) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def private_from_json(text: str) -> PrivateKey:
+def _decode_key(text: str, build):
+    """build(obj) over the parsed JSON object, with every missing field or
+    wrong-typed value reported as MalformedKey."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise MalformedKey(
+            f"key file must hold a JSON object, got {type(obj).__name__}"
+        )
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise MalformedKey(f"key file lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedKey(f"malformed key file: {exc}") from None
+
+
+def private_from_json(text: str) -> PrivateKey:
+    return _decode_key(text, _private_from_obj)
+
+
+def _private_from_obj(obj: dict) -> PrivateKey:
     params = SystemParams(
         n=int(obj["n"]),
         rho=int(obj["rho"]),
@@ -370,9 +399,9 @@ def private_from_json(text: str) -> PrivateKey:
     )
     return PrivateKey(
         params,
-        tuple(int(a) for a in obj["A"]),
+        _ints(obj["A"]),
         int(obj["W"]),
-        tuple(int(v) for v in obj["f"]),
+        _ints(obj["f"]),
         int(obj["M"]),
     )
 
@@ -388,10 +417,13 @@ def public_to_json(pub: PublicKey) -> str:
 
 
 def public_from_json(text: str) -> PublicKey:
-    obj = json.loads(text)
+    return _decode_key(text, _public_from_obj)
+
+
+def _public_from_obj(obj: dict) -> PublicKey:
     return PublicKey(
         int(obj["n"]),
         int(obj["M"]),
         int(obj["rho"]),
-        tuple(int(c) for c in obj["C"]),
+        _ints(obj["C"]),
     )

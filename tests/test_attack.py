@@ -1,15 +1,19 @@
 import itertools
 import math
 import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reesselab import fixtures as fx
 from reesselab.attack import (
     FULL_FILTER,
     LEGENDRE_ONLY,
     AttackFilter,
+    CandidateHit,
     IndexClash,
     IndexOutOfRange,
     InvalidRange,
@@ -28,7 +32,9 @@ from reesselab.attack import (
     scan_triple,
     strict_filter,
 )
-from reesselab.keys import OmegaFamily, build_omega
+from reesselab.attack import _scan_z, _sqrt_display
+from reesselab.contfrac import bound_holds, cf_expand
+from reesselab.keys import OmegaFamily, SystemParams, build_omega, keygen
 from reesselab.numtheory import mod_inv, mod_pow, mult_order
 
 
@@ -75,6 +81,42 @@ def test_delta_of():
     assert abs(float(display5) - 506) <= 1
     ratio1, display1 = delta_of(34034, 6, 17)
     assert ratio1 == 1 and display1 == "1.0000"
+
+
+def _decimal_sqrt_display(ratio: Fraction) -> str:
+    """Decimal reference: sqrt to far more digits than shown, quantized
+    half-even."""
+    with localcontext() as ctx:
+        ctx.prec = len(str(ratio.numerator)) + 60
+        root = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt()
+        return str(root.quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
+
+
+def test_delta_of_large_modulus():
+    M = 2**300 + 157
+    ratio, display = delta_of(M, 6, 17)
+    assert ratio == Fraction(M, 34034)
+    assert display == _decimal_sqrt_display(ratio)
+    whole, frac = display.split(".")
+    assert len(frac) == 4 and int(whole) == math.isqrt(M // 34034)
+    assert delta_of(2**270 + 1, 6, 17)[1] == _decimal_sqrt_display(
+        Fraction(2**270 + 1, 34034)
+    )
+
+
+def test_sqrt_display_matches_decimal_reference():
+    rng = random.Random(41)
+    for _ in range(2000):
+        num = rng.randrange(1, 1 << rng.randrange(1, 400))
+        den = rng.randrange(1, 1 << rng.randrange(1, 200))
+        ratio = Fraction(num, den)
+        assert _sqrt_display(ratio) == _decimal_sqrt_display(ratio)
+    # exact half-way cases round to the even last digit, as Decimal does
+    for s in (0, 1, 2, 3, 12344, 12345, 10**9 + 7):
+        ratio = Fraction((2 * s + 1) ** 2, 4 * 10**8)
+        assert _sqrt_display(ratio) == _decimal_sqrt_display(ratio)
+    assert _sqrt_display(Fraction(9, 4 * 10**8)) == "0.0002"
+    assert _sqrt_display(Fraction(1, 4 * 10**8)) == "0.0000"
 
 
 def test_max_a():
@@ -330,3 +372,87 @@ def test_multi_hit_triples_exist():
             multi += 1
             break
     assert multi > 0
+
+
+# ---------------------------------------------------------------------------
+# The truncated scan against the full expansion.
+
+
+def _scan_z_oracle(Z, M, two_p, filt, ceiling):
+    """The filter rules read off the complete cf_expand of Z/M."""
+    cf = cf_expand(Z, M)
+    out = []
+    for u in range(cf.t):
+        c, nxt = cf.convergents[u], cf.convergents[u + 1]
+        if not filt.min_q <= c.q <= ceiling:
+            continue
+        if not bound_holds(Z, M, c.p, c.q, filt.legendre_k):
+            continue
+        if filt.use_jump and nxt.q * nxt.q * two_p <= c.q * c.q * M:
+            continue
+        out.append((u, c.p, c.q, nxt.q, cf.quotients[u], cf.quotients[u + 1]))
+    return out
+
+
+@st.composite
+def scan_cases(draw):
+    M = draw(st.one_of(st.integers(1, 40), st.integers(1, 2**140)))
+    Z = draw(st.integers(0, M - 1))
+    ceiling = draw(
+        st.one_of(
+            st.sampled_from([0, 1, 2, M - 1, M, M + 1, 2**200]),
+            st.integers(0, M),
+            st.integers(0, math.isqrt(M) + 1),
+        )
+    )
+    if draw(st.booleans()):
+        # a ceiling at one of the last denominators: the scan stops at or
+        # just before the end of the expansion
+        qs = [c.q for c in cf_expand(Z, M).convergents]
+        ceiling = draw(st.sampled_from(qs[-3:])) + draw(st.integers(-1, 1))
+    filt = AttackFilter(
+        legendre_k=draw(st.sampled_from([1, 2, 3, 8, 2**10, 2**40])),
+        use_jump=draw(st.booleans()),
+        min_q=draw(st.integers(0, 5)),
+    )
+    two_p = draw(st.integers(1, 2**80))
+    return Z, M, two_p, filt, ceiling
+
+
+@given(scan_cases())
+def test_scan_z_matches_full_expansion(case):
+    assert _scan_z(*case) == _scan_z_oracle(*case)
+
+
+def _run_attack_oracle(pub, filt, ceiling):
+    two_p = 2 * prime_product_P(pub.n, pub.rho)
+    hits = []
+    for k, i, j in itertools.product(range(1, pub.n + 1), repeat=3):
+        Z = pub.C[i - 1] * pub.C[j - 1] * mod_inv(pub.C[k - 1], pub.M) % pub.M
+        hits += [
+            CandidateHit(k, i, j, u, q, p, q_next, a_u, a_next)
+            for (u, p, q, q_next, a_u, a_next) in _scan_z_oracle(
+                Z, pub.M, two_p, filt, ceiling
+            )
+        ]
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("n, rho", [(6, 17), (8, 29), (12, 43), (16, 61)])
+def test_run_attack_matches_full_expansion(n, rho):
+    params = SystemParams(n, rho, build_omega(OmegaFamily.SCALED, n, 1))
+    _, pub = keygen(params, seed=n)
+    ceiling = max_a(pub.M, n)
+    filters = [
+        LEGENDRE_ONLY,
+        FULL_FILTER,
+        strict_filter(n),
+        AttackFilter(use_jump=True, max_a_override=3 * ceiling + 1),
+    ]
+    for filt in filters:
+        report = run_attack(pub, filt, rho)
+        expected_ceiling = (
+            ceiling if filt.max_a_override is None else filt.max_a_override
+        )
+        assert report.max_a == expected_ceiling
+        assert report.hits == _run_attack_oracle(pub, filt, expected_ceiling)

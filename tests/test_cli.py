@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reesselab
 from reesselab.cli import UsageError, execute, main, parse_args
 
 
@@ -142,3 +147,42 @@ def test_rendered_output_ends_with_newline(capsys):
     main(["omega-gen", "--family", "scaled:2", "--n", "6", "--format", "table"])
     out = capsys.readouterr().out
     assert out.endswith("\n")
+
+
+_GOOD_PUB = {"n": "6", "M": "510931", "rho": "17",
+             "C": ["1", "2", "3", "4", "5", "6"]}
+
+
+@pytest.mark.parametrize("content", [
+    {k: v for k, v in _GOOD_PUB.items() if k != "rho"},  # missing field
+    [_GOOD_PUB],  # a list where the object belongs
+    "510931",  # a bare string
+    dict(_GOOD_PUB, M="lots"),  # non-numeric string
+    dict(_GOOD_PUB, C="123456"),  # a string where the list belongs
+    dict(_GOOD_PUB, C=7),  # a number where the list belongs
+    dict(_GOOD_PUB, n=None),
+    dict(_GOOD_PUB, C=[["1"]] * 6),
+])
+def test_attack_malformed_key_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.pub.json"
+    path.write_text(json.dumps(content))
+    assert main(["attack", "--pub", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(reesselab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "reesselab", "omega-check", "--family",
+         "scaled:1", "--n", "6", "--mode", "repetition"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "5 + 5 = 10" in proc.stdout
+    assert proc.stderr == ""

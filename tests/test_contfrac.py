@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reesselab.contfrac import (
     IndexOutOfRange,
     ZeroDenominator,
     bound_holds,
     cf_expand,
+    cf_head,
     convergent_at,
     is_convergent,
     legendre_scan,
@@ -157,3 +160,71 @@ def test_unreduced_input_is_reduced_internally():
     assert cf.quotients == (0, 2)
     assert (cf.num, cf.den) == (4, 8)
     assert cf.convergents[-1].p == 1 and cf.convergents[-1].q == 2
+
+
+def _check_head_prefix(num, den, ceiling):
+    """cf_head agrees with the full expansion up to the first q_u above the
+    ceiling, and stops there."""
+    cf = cf_expand(num, den)
+    quotients, ps, qs = cf_head(num, den, ceiling)
+    w = next((c.u for c in cf.convergents if c.q > ceiling), cf.t)
+    assert len(quotients) == len(ps) == len(qs) == w + 1
+    assert tuple(quotients) == cf.quotients[: w + 1]
+    assert [(p, q) for p, q in zip(ps, qs)] == [
+        (c.p, c.q) for c in cf.convergents[: w + 1]
+    ]
+
+
+def test_cf_head_cases():
+    # 186640/510931 = [0; 2, 1, 2, 1, 4, 1, 2, 8, ...], q = 1, 2, 3, 8, 11, 52, ...
+    quotients, ps, qs = cf_head(186640, 510931, 10)
+    assert quotients == [0, 2, 1, 2, 1] and qs == [1, 2, 3, 8, 11]
+    assert ps == [0, 1, 1, 3, 4]
+    # ceilings at or above the denominator give the full expansion
+    cf = cf_expand(186640, 510931)
+    for ceiling in (510931, 510932, 10**9):
+        quotients, ps, qs = cf_head(186640, 510931, ceiling)
+        assert tuple(quotients) == cf.quotients
+        assert qs == [c.q for c in cf.convergents]
+    assert cf_head(0, 9, 5) == ([0], [0], [1])
+    assert cf_head(4, 8, 100) == ([0, 2], [0, 1], [1, 2])
+    assert cf_head(186640, 510931, 0) == ([0], [0], [1])
+    with pytest.raises(ZeroDenominator):
+        cf_head(1, 0, 5)
+    with pytest.raises(ValueError):
+        cf_head(-1, 2, 5)
+
+
+@given(
+    st.integers(1, 2**130).flatmap(
+        lambda den: st.tuples(
+            st.integers(0, 2 * den),
+            st.just(den),
+            st.one_of(
+                st.sampled_from([-1, 0, 1, 2, den - 1, den, den + 1]),
+                st.integers(0, den + 2),
+                st.integers(0, 2**64),
+            ),
+        )
+    )
+)
+def test_cf_head_matches_cf_expand(case):
+    _check_head_prefix(*case)
+
+
+def test_cf_head_stops_near_the_end():
+    """Ceilings at each of the last few denominators, where the early stop
+    meets the end of the expansion."""
+    rng = random.Random(17)
+    for _ in range(300):
+        quotients = [rng.randrange(3)] + [
+            rng.choice([1, 1, 2, 3, 50]) for _ in range(rng.randrange(1, 8))
+        ]
+        if len(quotients) > 1 and quotients[-1] == 1:
+            quotients[-1] = 2
+        value = refold(quotients)
+        num, den = value.numerator, value.denominator
+        qs = [c.q for c in cf_expand(num, den).convergents]
+        for q in qs[-4:]:
+            for ceiling in (q - 1, q, q + 1):
+                _check_head_prefix(num, den, ceiling)

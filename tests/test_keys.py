@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ from reesselab import fixtures as fx
 from reesselab.keys import (
     InvalidDelta,
     InvalidParams,
+    MalformedKey,
     OmegaFamily,
     PublicKey,
     SumMode,
@@ -241,3 +243,22 @@ def test_key_json_big_integers_survive():
     _, pub = fx.case5_keypair()
     again = public_from_json(public_to_json(pub))
     assert again.C == pub.C and again.M == pub.M
+
+
+def test_key_json_malformed_fields():
+    priv, pub = keygen(scaled_params(6, 17), seed=5)
+    good = json.loads(private_to_json(priv))
+    for broken in (
+        {k: v for k, v in good.items() if k != "W"},
+        dict(good, omega=[]),
+        dict(good, omega=dict(good["omega"], family="CUBIC")),
+        dict(good, variant="v9"),
+        dict(good, A="many"),
+        dict(good, A=None),
+    ):
+        with pytest.raises(MalformedKey):
+            private_from_json(json.dumps(broken))
+    with pytest.raises(MalformedKey):
+        private_from_json(json.dumps([good]))
+    with pytest.raises(MalformedKey):
+        public_from_json(json.dumps({"n": "6", "M": "7", "C": []}))
